@@ -126,6 +126,15 @@ REGISTER_SCENARIO_TIERS(twr_clock, "ranging",
   }
   ctx.sink.series(series, "bias_vs_ppm");
 
+  // An unlucky --seed can leave whole ppm points without one acquisition;
+  // with fewer than two points left there is no slope to check.
+  if (xs.size() < 2) {
+    ctx.sink.metric("failures", static_cast<std::uint64_t>(total_failures));
+    ctx.sink.notef("FAIL: only %zu of %zu ppm points acquired; the "
+                   "drift-bias slope needs two",
+                   xs.size(), ppm_values.size());
+    return 1;
+  }
   const auto fit = base::fit_line(xs, ys);
   const auto fit_comp = base::fit_line(xs, ys_comp);
   const double theory = -0.5 * c * pt * 1e-6;  // m per ppm of delta_b

@@ -7,11 +7,70 @@
 // IEEE 802.15.4a channel model.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
 
 namespace uwbams::base {
+
+// MT19937-64 with the exact output sequence of std::mt19937_64, but seeded
+// and twisted on demand within the first block. A fresh engine that draws
+// a few words pays for seeding about 164 state words and twisting 8, not
+// for all 312 of each — the cost that dominates short-lived sub-streams
+// (one Rng::fork per link, a handful of draws each). From the second block
+// on it runs the ordinary whole-block twist, and a draw costs what a
+// std::mt19937_64 draw costs.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt19937_64(result_type seed = 5489u) { this->seed(seed); }
+
+  // Copies only the words set so far: the rest of a fresh engine's state
+  // is uninitialized, and reading it would be undefined.
+  Mt19937_64(const Mt19937_64& other) { *this = other; }
+  Mt19937_64& operator=(const Mt19937_64& other) {
+    if (this == &other) return *this;
+    std::copy(other.mt_, other.mt_ + other.seeded_, mt_);
+    seeded_ = other.seeded_;
+    ready_ = other.ready_;
+    next_ = other.next_;
+    return *this;
+  }
+
+  void seed(result_type s) {
+    mt_[0] = s;
+    seeded_ = 1;
+    ready_ = 0;
+    next_ = 0;
+  }
+
+  result_type operator()() {
+    if (next_ >= ready_) twist_next();
+    result_type z = mt_[next_++];
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71d67fffeda60000ull;
+    z ^= (z << 37) & 0xfff7eee000000000ull;
+    z ^= z >> 43;
+    return z;
+  }
+
+ private:
+  static constexpr unsigned kN = 312;
+  static constexpr unsigned kM = 156;
+
+  // Makes word next_ drawable: twists the next block once this one is used
+  // up, else the next chunk of the first block.
+  void twist_next();
+
+  std::uint64_t mt_[kN];  // words [seeded_, kN) are unset in the first block
+  unsigned seeded_ = 0;   // words [0, seeded_) hold their seed values or later
+  unsigned ready_ = 0;    // words [0, ready_) of the current block are twisted
+  unsigned next_ = 0;     // next word to draw
+};
 
 // Stateless seed mixer (splitmix64 over base ^ f(stream)). Two calls with
 // the same (base, stream) always produce the same seed, and nearby streams
@@ -63,11 +122,9 @@ class Rng {
   // Next arrival time of a Poisson process with given rate, after `now`.
   double poisson_arrival_after(double now, double rate);
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   std::uint64_t seed_ = 1;
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace uwbams::base

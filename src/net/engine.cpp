@@ -236,12 +236,29 @@ TagRound NetScaleEngine::measure_tag(int round, int tag) const {
   out.true_y = pos.y;
 
   // Candidate anchors: alive and inside the link budget, nearest first
-  // (ties broken by anchor index for determinism).
+  // (ties broken by anchor index for determinism). Only the grid rows and
+  // columns within max_range_m of the tag can qualify; one more on either
+  // side absorbs rounding, and the sort makes the scan order irrelevant.
+  const int g = cfg_.anchor_grid;
+  const double reach = cfg_.max_range_m * g / cfg_.area_m;  // in spacings
+  const auto grid_span = [&](double c, int* lo, int* hi) {
+    const double u = c * g / cfg_.area_m - 0.5;
+    *lo = static_cast<int>(
+        std::clamp(std::floor(u - reach) - 1.0, 0.0, g - 1.0));
+    *hi = static_cast<int>(
+        std::clamp(std::ceil(u + reach) + 1.0, 0.0, g - 1.0));
+  };
+  int row_lo, row_hi, col_lo, col_hi;
+  grid_span(pos.y, &row_lo, &row_hi);
+  grid_span(pos.x, &col_lo, &col_hi);
   std::vector<std::pair<double, std::size_t>> cand;
-  for (std::size_t a = 0; a < anchors_.size(); ++a) {
-    if (anchor_dark_[a]) continue;
-    const double d = dist2d(pos, anchors_[a]);
-    if (d <= cfg_.max_range_m) cand.push_back({d, a});
+  for (int row = row_lo; row <= row_hi; ++row) {
+    for (int col = col_lo; col <= col_hi; ++col) {
+      const auto a = static_cast<std::size_t>(row) * g + col;
+      if (anchor_dark_[a]) continue;
+      const double d = dist2d(pos, anchors_[a]);
+      if (d <= cfg_.max_range_m) cand.push_back({d, a});
+    }
   }
   std::sort(cand.begin(), cand.end());
   const std::size_t links =

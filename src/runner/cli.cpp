@@ -20,15 +20,16 @@ namespace uwbams::runner {
 
 namespace {
 
-constexpr const char* kUsage =
+// The help text around the --group line's list of groups, which usage()
+// fills in from the registry.
+constexpr const char* kUsageHead =
     "usage: uwbams_run [options] [scenario ...]\n"
     "\n"
     "  --list            list registered scenarios (name, group, --scale\n"
     "                    tiers, title) and exit\n"
     "  --all             run every registered scenario\n"
-    "  --group=G         with --list/--all: restrict to a group\n"
-    "                    (bench | mc | netscale | ranging | ablation |\n"
-    "                    example)\n"
+    "  --group=G         with --list/--all: restrict to a group\n";
+constexpr const char* kUsageTail =
     "  --scale=S         workload tier: fast | default | full\n"
     "  --tier=T          exactness tier: bit_exact (default; byte-compare\n"
     "                    gates hold) | stat_equiv (optimized engine; results\n"
@@ -115,6 +116,19 @@ int run_equiv_check(const std::string& golden_path,
 }
 
 }  // namespace
+
+std::string usage() {
+  // The registered groups; list() sorts by group, so repeats are adjacent.
+  std::string groups;
+  std::string last;
+  for (const Scenario* s : ScenarioRegistry::instance().list()) {
+    if (s->info.group == last) continue;
+    groups += (last.empty() ? "" : ", ") + s->info.group;
+    last = s->info.group;
+  }
+  return kUsageHead + std::string(20, ' ') + "(" + groups + ")\n" +
+         kUsageTail;
+}
 
 bool parse_cli(int argc, const char* const* argv, CliOptions* out) {
   for (int i = 1; i < argc; ++i) {
@@ -204,7 +218,7 @@ bool parse_cli(int argc, const char* const* argv, CliOptions* out) {
       }
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "uwbams_run: unknown option '%s'\n%s", arg.c_str(),
-                   kUsage);
+                   usage().c_str());
       return false;
     } else {
       out->scenarios.push_back(arg);
@@ -217,7 +231,7 @@ int run_cli(int argc, const char* const* argv) {
   CliOptions opt;
   if (!parse_cli(argc, argv, &opt)) return 2;
   if (opt.help) {
-    std::printf("%s", kUsage);
+    std::printf("%s", usage().c_str());
     return 0;
   }
 
@@ -264,7 +278,8 @@ int run_cli(int argc, const char* const* argv) {
     }
   }
   if (selected.empty()) {
-    std::fprintf(stderr, "uwbams_run: nothing to run\n%s", kUsage);
+    std::fprintf(stderr, "uwbams_run: nothing to run\n%s",
+                 usage().c_str());
     return 2;
   }
 

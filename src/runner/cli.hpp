@@ -43,6 +43,9 @@ struct CliOptions {
   std::vector<std::string> scenarios;  // or the two files of --equiv-check
 };
 
+// The --help text; its --group line lists the registered groups.
+std::string usage();
+
 // Parses argv into `out`. Returns false (with a message on stderr) on
 // malformed input.
 bool parse_cli(int argc, const char* const* argv, CliOptions* out);

@@ -16,7 +16,7 @@ namespace uwbams::runner {
 
 struct ScenarioInfo {
   std::string name;   // CLI name, e.g. "fig6_ber"
-  std::string group;  // "bench" | "ablation" | "example"
+  std::string group;  // e.g. "bench"; --help lists the registered groups
   std::string title;  // one-line description shown by --list
   // Optional --scale tier annotation shown by --list, written as the
   // fast|default|full workloads in one compact string (e.g. "4|8|16 nodes").

@@ -62,10 +62,12 @@ std::vector<NodePosition> solve_positions_2d(
 
   // One full solve from a given unknown-node seed offset: trilateration
   // init where possible, then alternating bias re-estimation and per-node
-  // Gauss-Newton sweeps. Returns the refined positions, the bias and the
-  // total squared residual (the multi-start selection criterion).
+  // Gauss-Newton sweeps. Returns the refined positions and the bias;
+  // *offset_free says whether trilateration initialized every unknown node,
+  // in which case the offset was overwritten and never reaches the result.
   const auto solve_from = [&](const std::vector<PairDistance>& measurements,
-                              double off_x, double off_y, double* bias_used) {
+                              double off_x, double off_y, double* bias_used,
+                              bool* offset_free) {
     std::vector<NodePosition> pos = positions_init;
     for (int k = anchor_count; k < n; ++k) {
       pos[static_cast<std::size_t>(k)].x += off_x;
@@ -92,6 +94,7 @@ std::vector<NodePosition> solve_positions_2d(
     // Init every unknown node by trilateration against the anchors it has
     // measurements to; nodes without enough anchor links keep their offset
     // seed position (refined by the sweeps below through node-node links).
+    *offset_free = true;
     for (int k = anchor_count; k < n; ++k) {
       std::vector<NodePosition> refs;
       std::vector<double> dists;
@@ -103,7 +106,10 @@ std::vector<NodePosition> solve_positions_2d(
         dists.push_back(m.distance - bias);
       }
       NodePosition p;
-      if (trilaterate(refs, dists, &p)) pos[static_cast<std::size_t>(k)] = p;
+      if (trilaterate(refs, dists, &p))
+        pos[static_cast<std::size_t>(k)] = p;
+      else
+        *offset_free = false;
     }
 
     // Gauss-Newton coordinate sweeps: each unknown node refines against
@@ -172,7 +178,9 @@ std::vector<NodePosition> solve_positions_2d(
   // pairs) falls back to its seed position, where Gauss-Newton can lock
   // onto the mirror solution. Re-solving from a fixed star of seed offsets
   // (scaled by the anchor spread) and keeping the lowest-residual result
-  // resolves the ambiguity without randomness.
+  // resolves the ambiguity without randomness. When trilateration placed
+  // every unknown node, each start computes the same bits and the strict
+  // '<' below keeps the first, so the remaining starts are skipped.
   double spread = 0.0;
   for (int i = 0; i < anchor_count; ++i)
     for (int j = i + 1; j < anchor_count; ++j)
@@ -191,7 +199,8 @@ std::vector<NodePosition> solve_positions_2d(
     bool first = true;
     for (const auto& off : offsets) {
       double bias = 0.0;
-      auto pos = solve_from(meas, off[0], off[1], &bias);
+      bool offset_free = false;
+      auto pos = solve_from(meas, off[0], off[1], &bias, &offset_free);
       const double ssq = total_residual(meas, pos, bias);
       if (first || ssq < best_ssq) {
         best = std::move(pos);
@@ -199,6 +208,7 @@ std::vector<NodePosition> solve_positions_2d(
         best_ssq = ssq;
         first = false;
       }
+      if (offset_free) break;
     }
     *bias_used = best_bias;
     return best;

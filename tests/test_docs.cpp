@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 
+#include "runner/cli.hpp"
 #include "runner/registry.hpp"
 
 #ifndef UWBAMS_DOCS_DIR
@@ -42,6 +43,22 @@ std::set<std::string> documented_scenarios(const std::string& text) {
     if (!name.empty()) names.insert(name);
   }
   return names;
+}
+
+// --help names every registered group under --group, straight from the
+// registry, so a new group cannot leave the help text stale.
+TEST(Docs, HelpListsEveryRegisteredGroup) {
+  const std::string help = uwbams::runner::usage();
+  std::set<std::string> groups;
+  for (const auto* s : ScenarioRegistry::instance().list())
+    groups.insert(s->info.group);
+  ASSERT_GT(groups.size(), 1u);
+  const auto at = help.find("--group=G");
+  ASSERT_NE(at, std::string::npos);
+  const std::string tail = help.substr(at, help.find("--scale=S") - at);
+  for (const std::string& g : groups)
+    EXPECT_NE(tail.find(g), std::string::npos)
+        << "--help does not list group '" << g << "'";
 }
 
 TEST(Docs, ScenariosPageExists) {

@@ -10,6 +10,7 @@
 //   tools/refresh_golden.sh   (one command, commit the diff it leaves)
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -34,9 +35,11 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
-// Runs a registered scenario the way the CLI does (fast scale, seed 1,
-// one worker, no output directory) and returns the sink it filled.
-int run_scenario(const std::string& name, runner::ResultSink* sink) {
+// Runs a registered scenario the way the CLI does (fast scale, one
+// worker, no output directory; seed 1 unless given) and returns the sink
+// it filled.
+int run_scenario(const std::string& name, runner::ResultSink* sink,
+                 std::uint64_t seed = 1) {
   const auto* s = runner::ScenarioRegistry::instance().find(name);
   if (s == nullptr) {
     ADD_FAILURE() << "scenario '" << name << "' is not registered";
@@ -44,7 +47,7 @@ int run_scenario(const std::string& name, runner::ResultSink* sink) {
   }
   runner::ParallelRunner pool(1);
   runner::RunContext ctx{name, runner::Scale::kFast, pool.jobs(),
-                         1,    *sink,               pool,
+                         seed, *sink,               pool,
                          core::ExactnessTier::kBitExact};
   return s->fn(ctx);
 }
@@ -77,6 +80,16 @@ TEST_P(GoldenStats, FastRunReproducesPinnedGolden) {
       << "bit_exact fast run no longer reproduces the pinned golden; if "
          "the change is intentional, run tools/refresh_golden.sh and "
          "commit the refreshed files";
+}
+
+// On seed 15 no ppm point of twr_clock acquires, which leaves no slope to
+// fit: the scenario must report a failed check, not throw.
+TEST(AcceptanceChecks, TwrClockWithoutTwoPpmPointsFailsCleanly) {
+  runner::ResultSink sink("twr_clock", "");
+  sink.set_quiet(true);
+  int rc = -1;
+  EXPECT_NO_THROW(rc = run_scenario("twr_clock", &sink, 15));
+  EXPECT_EQ(rc, 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(PinnedScenarios, GoldenStats,

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "base/parallel.hpp"
@@ -361,6 +363,68 @@ TEST(PositionSolver, RecoversExactGeometryFromExactDistances) {
     EXPECT_NEAR(solved[k].x, truth[k].x, 1e-6);
     EXPECT_NEAR(solved[k].y, truth[k].y, 1e-6);
   }
+}
+
+// Solver outputs pinned at %.17g (bit-exact) from before the multistart
+// stopped early for fully trilaterated networks. The collinear and
+// two-anchor-link cases cannot be trilaterated, so all nine starts run; in
+// the collinear one the centroid seed sits on the anchor line and only an
+// off-line start reaches the (mirror) fix.
+std::string solve_digest(const std::vector<uwb::NodePosition>& init,
+                         int anchors,
+                         const std::vector<uwb::PairDistance>& obs,
+                         int sweeps, bool estimate_bias) {
+  double bias = -1.0;
+  const auto pos =
+      uwb::solve_positions_2d(init, anchors, obs, sweeps, estimate_bias, &bias);
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "bias %.17g", bias);
+  std::string out = buf;
+  for (std::size_t k = static_cast<std::size_t>(anchors); k < pos.size(); ++k) {
+    std::snprintf(buf, sizeof buf, "; %.17g %.17g", pos[k].x, pos[k].y);
+    out += buf;
+  }
+  return out;
+}
+
+TEST(PositionSolver, PinnedSingleTagResults) {
+  EXPECT_EQ(solve_digest({{0, 0}, {10, 0}, {0, 8}, {3.3, 3.3}}, 3,
+                         {{0, 3, 5.0}, {1, 3, 7.2}, {2, 3, 5.9}}, 24, false),
+            "bias 0; 3.6651202088523465 3.3930309393239129");
+  EXPECT_EQ(solve_digest({{0, 0}, {12, 0}, {0, 12}, {12, 12}, {6, -2},
+                          {6, 4.4}},
+                         5,
+                         {{0, 5, 8.31}, {1, 5, 9.02}, {2, 5, 10.7},
+                          {3, 5, 11.35}, {4, 5, 6.9}},
+                         8, false),
+            "bias 0; 5.4275965952079179 4.3353011265172574");
+  // One wrong-slot outlier (+9.6 m) exercises the trimmed re-solve.
+  EXPECT_EQ(solve_digest({{0, 0}, {10, 0}, {0, 10}, {10, 10}, {5, 0}, {0, 5},
+                          {10, 5}, {5, 10}, {4, 6}},
+                         8,
+                         {{0, 8, 7.24}, {1, 8, 8.43}, {2, 8, 5.68},
+                          {3, 8, 7.17 + 9.6}, {4, 8, 6.05}, {5, 8, 4.15},
+                          {6, 8, 6.11}, {7, 8, 4.09}},
+                         24, false),
+            "bias 0; 4.0250015574808042 5.997062645805241");
+  // Common range bias from the anchor-anchor links.
+  EXPECT_EQ(solve_digest({{0, 0}, {8, 0}, {0, 8}, {8, 8}, {2, 2}}, 4,
+                         {{0, 1, 8.6}, {0, 2, 8.55}, {1, 2, 11.9}, {0, 4, 3.4},
+                          {1, 4, 6.9}, {2, 4, 6.85}, {3, 4, 9.1}},
+                         24, true),
+            "bias 0.573552707830015; 1.9735397146573537 2.0132080411901851");
+}
+
+TEST(PositionSolver, PinnedMultistartResults) {
+  EXPECT_EQ(solve_digest({{0, 0}, {5, 0}, {10, 0}, {5, 0}}, 3,
+                         {{0, 3, 5.0}, {1, 3, 3.16}, {2, 3, 6.71}}, 24, false),
+            "bias 0; 3.9992764458657959 -2.9989608615317271");
+  EXPECT_EQ(solve_digest({{0, 0}, {10, 0}, {5, 8}, {1, 1}, {1, 1}}, 3,
+                         {{0, 3, 4.3}, {1, 3, 6.5}, {2, 3, 5.1}, {0, 4, 7.2},
+                          {1, 4, 4.4}, {3, 4, 4.1}},
+                         24, false),
+            "bias 0; 3.4722989941231637 2.7584026277764688; "
+            "7.0288281728476534 2.9793773606696927");
 }
 
 TEST(PositionSolver, RejectsDegenerateGauge) {
