@@ -14,13 +14,13 @@
 //   itd_adaptive the ITD cell under a pulsed control workload advanced by
 //                the adaptive LTE stepper (accept/reject + event-aligned).
 //
-// Results go to stdout, to summary.json metrics, and — the part CI tracks
-// across PRs — to the BENCH_engine.json artifact.
+// Results go to stdout and to summary.json: each workload's engine
+// counters under `metrics`, its steps/s and the fast-path speedup under
+// `perf`.
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <random>
 #include <string>
+#include <utility>
 
 #include "runner/runner.hpp"
 #include "spice/devices.hpp"
@@ -131,41 +131,29 @@ WorkloadResult run_itd_adaptive(double t_stop) {
   return r;
 }
 
-std::string json_block(const char* name, const WorkloadResult& r,
-                       bool trailing_comma) {
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof buf,
-      "  \"%s\": {\n"
-      "    \"wall_seconds\": %.6f,\n"
-      "    \"steps_per_second\": %.1f,\n"
-      "    \"steps\": %llu,\n"
-      "    \"newton_iterations\": %llu,\n"
-      "    \"factorizations\": %llu,\n"
-      "    \"refactorizations\": %llu,\n"
-      "    \"solves\": %llu,\n"
-      "    \"accepted_steps\": %llu,\n"
-      "    \"rejected_steps\": %llu,\n"
-      "    \"fallback_steps\": %llu\n"
-      "  }%s\n",
-      name, r.wall_seconds, r.steps_per_second,
-      static_cast<unsigned long long>(r.stats.steps),
-      static_cast<unsigned long long>(r.stats.newton_iterations),
-      static_cast<unsigned long long>(r.stats.factorizations),
-      static_cast<unsigned long long>(r.stats.refactorizations),
-      static_cast<unsigned long long>(r.stats.solves),
-      static_cast<unsigned long long>(r.stats.accepted_steps),
-      static_cast<unsigned long long>(r.stats.rejected_steps),
-      static_cast<unsigned long long>(r.stats.fallback_steps),
-      trailing_comma ? "," : "");
-  return std::string(buf);
+// One workload's summary.json entries: its engine counters (fixed by the
+// seed and scale) in `metrics`, its throughput in `perf`.
+void report(runner::RunContext& ctx, const std::string& name,
+            const WorkloadResult& r) {
+  const spice::TransientStats& st = r.stats;
+  const std::pair<const char*, std::uint64_t> counters[] = {
+      {"steps", st.steps},
+      {"newton_iterations", st.newton_iterations},
+      {"factorizations", st.factorizations},
+      {"refactorizations", st.refactorizations},
+      {"solves", st.solves},
+      {"accepted_steps", st.accepted_steps},
+      {"rejected_steps", st.rejected_steps},
+      {"fallback_steps", st.fallback_steps}};
+  for (const auto& [counter, value] : counters)
+    ctx.sink.metric(name + "_" + counter, value);
+  ctx.sink.perf(name + "_steps_per_second", r.steps_per_second);
 }
 
 }  // namespace
 
 REGISTER_SCENARIO(bench_engine, "bench",
-                  "Transient-engine fast-path microbenchmark "
-                  "(BENCH_engine.json)") {
+                  "Transient-engine fast-path microbenchmark") {
   const int itd_steps = ctx.pick(20000, 100000, 400000);
   const int rc_steps = ctx.pick(20000, 100000, 400000);
   const double adaptive_t = ctx.pick(1e-6, 4e-6, 16e-6);
@@ -203,20 +191,11 @@ REGISTER_SCENARIO(bench_engine, "bench",
       static_cast<unsigned long long>(adaptive.stats.rejected_steps),
       adaptive_t * 1e6);
 
-  ctx.sink.metric("itd_fixed_steps_per_second", itd_fast.steps_per_second);
-  ctx.sink.metric("itd_classic_steps_per_second",
-                  itd_classic.steps_per_second);
-  ctx.sink.metric("fast_path_speedup", speedup);
-  ctx.sink.metric("rc_linear_factorizations", rc.stats.factorizations);
-  ctx.sink.metric("adaptive_rejected_steps", adaptive.stats.rejected_steps);
-
-  std::string json = "{\n";
-  json += json_block("itd_fixed", itd_fast, true);
-  json += json_block("itd_classic", itd_classic, true);
-  json += json_block("rc_linear", rc, true);
-  json += json_block("itd_adaptive", adaptive, false);
-  json += "}\n";
-  ctx.sink.raw_artifact("BENCH_engine.json", json);
+  report(ctx, "itd_fixed", itd_fast);
+  report(ctx, "itd_classic", itd_classic);
+  report(ctx, "rc_linear", rc);
+  report(ctx, "itd_adaptive", adaptive);
+  ctx.sink.perf("fast_path_speedup", speedup);
 
   // Sanity gates so CI fails loudly if the fast path regresses to the
   // classic engine's behavior.

@@ -15,7 +15,6 @@
 // Every point is an independent task seeded from (system seed, Eb/N0)
 // alone, so the fanned sweep is bit-identical to --jobs=1 (the CI gate
 // byte-compares the CSV artifacts across job counts).
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -45,25 +44,16 @@ const char* class_name(double code) {
       static_cast<uwb::ChannelClass>(static_cast<int>(code)));
 }
 
-// Shared BENCH artifact of the coex group: one JSON block per scenario run.
-void bench_artifact(runner::RunContext& ctx, const char* scenario,
-                    std::size_t points, std::uint64_t bits,
-                    std::uint64_t errors, double wall) {
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "{\n"
-                "  \"scenario\": \"%s\",\n"
-                "  \"points\": %zu,\n"
-                "  \"bits\": %llu,\n"
-                "  \"errors\": %llu,\n"
-                "  \"wall_seconds\": %.4f,\n"
-                "  \"bits_per_second\": %.1f,\n"
-                "  \"jobs\": %d\n"
-                "}\n",
-                scenario, points, static_cast<unsigned long long>(bits),
-                static_cast<unsigned long long>(errors), wall,
-                static_cast<double>(bits) / std::max(wall, 1e-9), ctx.jobs);
-  ctx.sink.raw_artifact("BENCH_coex.json", buf);
+// summary.json entries shared by the coex group: the sweep totals in
+// `metrics`, its host time in `perf`.
+void report_sweep(runner::RunContext& ctx, std::size_t points,
+                  std::uint64_t bits, std::uint64_t errors,
+                  std::uint64_t quarantined, double wall) {
+  ctx.sink.metric("points", static_cast<std::uint64_t>(points));
+  ctx.sink.metric("bits", bits);
+  ctx.sink.metric("errors", errors);
+  ctx.sink.metric("quarantined", quarantined);
+  ctx.sink.perf("sweep_seconds", wall);
 }
 
 // Two-sided significance guard: fails only when `worse` measured
@@ -142,8 +132,7 @@ REGISTER_SCENARIO_TIERS(coex_ber, "coex",
       quarantined += p.quarantined ? 1 : 0;
     }
   ctx.sink.table(t, "points");
-  ctx.sink.metric("quarantined", quarantined);
-  bench_artifact(ctx, "coex_ber", flat.size(), bits, errors, wall);
+  report_sweep(ctx, flat.size(), bits, errors, quarantined, wall);
 
   core::StatArtifact stats(ctx.scenario_name, runner::to_string(ctx.scale));
   for (std::size_t k = 0; k < classes.size(); ++k)
@@ -227,8 +216,7 @@ REGISTER_SCENARIO_TIERS(multiuser_ber, "coex",
     quarantined += p.quarantined ? 1 : 0;
   }
   ctx.sink.table(t, "points");
-  ctx.sink.metric("quarantined", quarantined);
-  bench_artifact(ctx, "multiuser_ber", flat.size(), bits, errors, wall);
+  report_sweep(ctx, flat.size(), bits, errors, quarantined, wall);
 
   core::StatArtifact stats(ctx.scenario_name, runner::to_string(ctx.scale));
   for (std::size_t i = 0; i < piconets.size(); ++i) {
@@ -309,8 +297,7 @@ REGISTER_SCENARIO_TIERS(channel_class_sweep, "coex",
       quarantined += p.quarantined ? 1 : 0;
     }
   ctx.sink.table(t, "points");
-  ctx.sink.metric("quarantined", quarantined);
-  bench_artifact(ctx, "channel_class_sweep", flat.size(), bits, errors, wall);
+  report_sweep(ctx, flat.size(), bits, errors, quarantined, wall);
 
   core::StatArtifact stats(ctx.scenario_name, runner::to_string(ctx.scale));
   for (std::size_t k = 0; k < classes.size(); ++k)

@@ -9,7 +9,7 @@
 //                     two scenarios can load via UWBAMS_SURROGATE.
 //   netscale_static   event-driven ranging network at 100 / 10,000 / 20,000
 //                     nodes: per-round per-tag multilateration over
-//                     surrogate draws (BENCH_netscale.json).
+//                     surrogate draws.
 //   netscale_mobility waypoint-mobile tags + anchor dropout + packet loss:
 //                     the fault-injection variant.
 //
@@ -117,7 +117,7 @@ std::string positions_csv(const net::NetScaleResult& res) {
   return csv;
 }
 
-// Shared reporting + artifact block of the two engine scenarios.
+// Shared reporting block of the two engine scenarios.
 void report_rounds(runner::RunContext& ctx, const net::NetScaleConfig& cfg,
                    const net::NetScaleEngine& eng,
                    const net::NetScaleResult& res, double wall) {
@@ -160,25 +160,7 @@ void report_rounds(runner::RunContext& ctx, const net::NetScaleConfig& cfg,
                    "(kept as unsolved rows)",
                    static_cast<unsigned long long>(res.quarantined));
 
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "{\n"
-                "  \"nodes\": %d,\n"
-                "  \"anchors\": %zu,\n"
-                "  \"tags\": %d,\n"
-                "  \"rounds\": %d,\n"
-                "  \"wall_seconds\": %.4f,\n"
-                "  \"tag_rounds_per_second\": %.1f,\n"
-                "  \"availability\": %.6f,\n"
-                "  \"rmse_m\": %.6f,\n"
-                "  \"toa_draws\": %llu,\n"
-                "  \"jobs\": %d\n"
-                "}\n",
-                eng.node_count(), eng.anchors().size(), cfg.tag_count,
-                cfg.rounds, wall, tag_rounds / wall,
-                res.overall_availability, res.overall_rmse_m,
-                static_cast<unsigned long long>(res.total_draws), ctx.jobs);
-  ctx.sink.raw_artifact("BENCH_netscale.json", buf);
+  ctx.sink.perf("sweep_seconds", wall);
 }
 
 }  // namespace
@@ -273,7 +255,7 @@ REGISTER_SCENARIO_TIERS(surrogate_fit, "netscale",
                   static_cast<std::uint64_t>(cal.samples_per_cell));
   ctx.sink.metric("checked", static_cast<std::uint64_t>(report.checked));
   ctx.sink.metric("passed", static_cast<std::uint64_t>(report.passed));
-  ctx.sink.metric("calibration_seconds", t_cal);
+  ctx.sink.perf("calibration_seconds", t_cal);
   ctx.sink.metric("quarantined", static_cast<std::uint64_t>(
                                      cal_quarantined + report.quarantined));
   if (cal_quarantined + report.quarantined > 0)
@@ -325,7 +307,7 @@ REGISTER_SCENARIO_TIERS(surrogate_fit, "netscale",
 
 REGISTER_SCENARIO_TIERS(netscale_static, "netscale",
                         "Event-driven ranging network over the surrogate at "
-                        "100 | 10k | 20k static nodes (BENCH_netscale.json)",
+                        "100 | 10k | 20k static nodes",
                         "100|10k|20k nodes x 4|5|6 rounds") {
   net::SurrogateTable table;
   std::string source;

@@ -7,14 +7,14 @@
 //                   the ppm-compensated variant that removes it again.
 //   ranging_network N-node TWR network over independent CM1 pair channels
 //                   with per-node clock offsets; least-squares 2-D position
-//                   solve over the pairwise estimates (BENCH_ranging.json).
+//                   solve over the pairwise estimates.
 //
 // Both scenarios fan their independent simulations across the pool with all
 // seeds fixed up front, so any --jobs value reproduces --jobs=1 bit for bit
 // (the CI determinism gate byte-compares ranging_network's pairs.csv).
 #include <chrono>
 #include <cmath>
-#include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -115,10 +115,14 @@ REGISTER_SCENARIO_TIERS(twr_clock, "ranging",
       comp.add(it.distance_estimate);  // the engine's compensated value
     }
     total_failures += failures;
+    // A point with no acquired exchange has no mean: nan, not a 0 that
+    // reads like a perfect zero-bias measurement.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const bool dead = raw.count() == 0;
     series.add_row(ppm_values[p],
-                   {raw.mean(), raw.mean() - ref_mean, comp.mean(),
-                    static_cast<double>(failures)});
-    if (raw.count() > 0) {
+                   {dead ? nan : raw.mean(), dead ? nan : raw.mean() - ref_mean,
+                    dead ? nan : comp.mean(), static_cast<double>(failures)});
+    if (!dead) {
       xs.push_back(ppm_values[p]);
       ys.push_back(raw.mean() - ref_mean);
       ys_comp.push_back(comp.mean() - ref_mean);
@@ -166,7 +170,7 @@ REGISTER_SCENARIO_TIERS(twr_clock, "ranging",
 
 REGISTER_SCENARIO_TIERS(ranging_network, "ranging",
                         "N-node TWR network: per-pair CM1 distances + 2-D "
-                        "position solve (BENCH_ranging.json)",
+                        "position solve",
                         "4|8|16 nodes x 2|2|3 exch") {
   uwb::NetworkConfig cfg;
   cfg.sys.dt = ctx.pick(0.2e-9, 0.2e-9, 0.1e-9);
@@ -231,28 +235,14 @@ REGISTER_SCENARIO_TIERS(ranging_network, "ranging",
                  res.pairs.size() / wall);
   ctx.sink.metric("nodes", static_cast<std::uint64_t>(cfg.node_count));
   ctx.sink.metric("pairs", static_cast<std::uint64_t>(res.pairs.size()));
+  ctx.sink.metric("exchanges_per_pair",
+                  static_cast<std::uint64_t>(cfg.exchanges_per_pair));
   ctx.sink.metric("failed_pairs", static_cast<std::uint64_t>(res.failed_pairs));
   ctx.sink.metric("distance_rmse_m", res.distance_rmse);
   ctx.sink.metric("position_rmse_m", res.position_rmse);
   ctx.sink.metric("range_bias_m", res.range_bias);
 
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "{\n"
-                "  \"nodes\": %d,\n"
-                "  \"pairs\": %zu,\n"
-                "  \"exchanges_per_pair\": %d,\n"
-                "  \"wall_seconds\": %.4f,\n"
-                "  \"pairs_per_second\": %.3f,\n"
-                "  \"distance_rmse_m\": %.6f,\n"
-                "  \"position_rmse_m\": %.6f,\n"
-                "  \"failed_pairs\": %d,\n"
-                "  \"jobs\": %d\n"
-                "}\n",
-                cfg.node_count, res.pairs.size(), cfg.exchanges_per_pair, wall,
-                res.pairs.size() / wall, res.distance_rmse, res.position_rmse,
-                res.failed_pairs, ctx.jobs);
-  ctx.sink.raw_artifact("BENCH_ranging.json", buf);
+  ctx.sink.perf("sweep_seconds", wall);
 
   // Golden-stats artifact: acquisition failures as a binomial check, the
   // per-pair ranging errors as a KS population, and the two RMSE figures as

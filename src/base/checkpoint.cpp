@@ -13,10 +13,6 @@ namespace uwbams::base {
 
 namespace fs = std::filesystem;
 
-std::uint64_t content_hash(std::string_view canonical) {
-  return fnv1a64(canonical);
-}
-
 std::string hex_u64(std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "0x%016llx",

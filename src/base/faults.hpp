@@ -36,8 +36,10 @@ namespace uwbams::base {
 
 /// FNV-1a 64-bit hash. Used to key fault sites and artifact names into the
 /// derive_seed stream space, and as the checkpoint content hash — stable
-/// across platforms and builds by construction.
-std::uint64_t fnv1a64(std::string_view text);
+/// across platforms and builds by construction. `basis` is the standard
+/// offset basis; only streams pinned under another one pass their own.
+std::uint64_t fnv1a64(std::string_view text,
+                      std::uint64_t basis = 0xcbf29ce484222325ULL);
 
 /// One injection rule of a FaultPlan.
 struct FaultRule {

@@ -4,6 +4,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "base/faults.hpp"
 #include "uwb/channel.hpp"
 
 namespace uwbams::core::canonical {
@@ -330,7 +331,7 @@ void from_json(const base::JsonValue& doc, uwb::TwrConfig* out) {
 }
 
 std::uint64_t key_of(const base::JsonValue& doc) {
-  return base::content_hash(doc.dump(0));
+  return base::fnv1a64(doc.dump(0));
 }
 
 }  // namespace uwbams::core::canonical

@@ -202,7 +202,6 @@ void visit_fields(spice::TransientOptions& c, V&& v) {
   v("reltol", c.reltol);
   v("gmin", c.gmin);
   v("reuse_factorization", c.reuse_factorization);
-  v("predictor", c.predictor);
   v("lazy_jacobian", c.lazy_jacobian);
   v("jacobian_refresh_every", c.jacobian_refresh_every);
   v("chord_tol_scale", c.chord_tol_scale);

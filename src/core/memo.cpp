@@ -41,14 +41,6 @@ MemoState& state() {
 
 }  // namespace
 
-bool enabled() {
-  static const bool on = [] {
-    const char* v = std::getenv("UWBAMS_MEMO");
-    return v == nullptr || std::string(v) != "0";
-  }();
-  return on;
-}
-
 std::uint64_t characterize_content_key(const spice::ItdSizing& sizing,
                                        const CharacterizeOptions& options) {
   JsonObject obj;
@@ -113,7 +105,7 @@ ItdCharacterization characterization_from_json(const std::string& text) {
 
 ItdCharacterization characterize_itd_cached(
     const spice::ItdSizing& sizing, const CharacterizeOptions& options) {
-  if (!enabled() || options.ac_workspace != nullptr)
+  if (options.ac_workspace != nullptr)
     return characterize_itd(sizing, options);
   const std::uint64_t key = characterize_content_key(sizing, options);
   MemoState& s = state();
@@ -216,8 +208,6 @@ std::vector<uwb::ChannelRealization> channel_draws_from_json(
 std::vector<uwb::ChannelRealization> channel_draws_cached(
     uwb::ChannelClass cls, const uwb::SalehValenzuelaParams& params,
     std::uint64_t seed, int count) {
-  if (!enabled())
-    return uwb::draw_realizations_uncached(cls, params, seed, count);
   const std::uint64_t key = channel_draws_content_key(cls, params, seed, count);
   MemoState& s = state();
   {

@@ -18,11 +18,10 @@
 ///     round-trips every finite double exactly, so a disk hit is
 ///     bit-identical too.
 ///
-/// UWBAMS_MEMO=0 disables the layer (every call recomputes) — the escape
-/// hatch for A/B-ing the memo itself. Per-trial Monte-Carlo
-/// characterizations (distinct mismatch seeds, borrowed AC workspaces) do
-/// NOT route through here: their keys never repeat, and a borrowed
-/// workspace is per-task solver state the canonical form refuses to hash.
+/// Per-trial Monte-Carlo characterizations (distinct mismatch seeds,
+/// borrowed AC workspaces) do NOT route through here: their keys never
+/// repeat, and a borrowed workspace is per-task solver state the canonical
+/// form refuses to hash.
 /// A second memoizable intermediate rides the same machinery: channel
 /// realization draws. Linking this TU installs the provider hook of
 /// uwb::draw_realizations (uwb cannot link core, so the wiring is a
@@ -41,9 +40,6 @@
 
 namespace uwbams::core::memo {
 
-/// False when UWBAMS_MEMO=0 (checked once per process).
-bool enabled();
-
 /// Content key of one characterization call:
 /// {code_version, kind, options, sizing} canonical.
 /// @throws std::invalid_argument when options.ac_workspace is set.
@@ -51,7 +47,7 @@ std::uint64_t characterize_content_key(const spice::ItdSizing& sizing,
                                        const CharacterizeOptions& options);
 
 /// characterize_itd with memoization (see file comment). Falls back to a
-/// plain call when disabled or when options borrows an AC workspace.
+/// plain call when options borrows an AC workspace.
 ItdCharacterization characterize_itd_cached(
     const spice::ItdSizing& sizing = {},
     const CharacterizeOptions& options = {});
@@ -68,8 +64,7 @@ std::uint64_t channel_draws_content_key(
     std::uint64_t seed, int count);
 
 /// uwb::draw_realizations_uncached with memoization — the body behind the
-/// provider hook this TU installs. Falls back to a plain draw when
-/// UWBAMS_MEMO=0.
+/// provider hook this TU installs.
 std::vector<uwb::ChannelRealization> channel_draws_cached(
     uwb::ChannelClass cls, const uwb::SalehValenzuelaParams& params,
     std::uint64_t seed, int count);

@@ -292,7 +292,7 @@ std::vector<McTrial> shard_to_trials(const std::string& text, std::size_t lo,
 }
 
 // Canonical document of every result-affecting knob of a Monte-Carlo run;
-// its content_hash keys the checkpoint so a stale checkpoint (different
+// its fnv1a64 keys the checkpoint so a stale checkpoint (different
 // config, seed, trial count or tier) is rejected instead of silently
 // mixed in. Schema uwbams.mc/2 (PR 9): built from core/canonical.hpp
 // fragments, so unlike the hand-rolled mc/1 string it covers the full
@@ -355,7 +355,7 @@ McResult run_monte_carlo(const McConfig& config, const YieldCriteria& criteria,
   if (!opts.checkpoint_dir.empty() && ntasks > 0)
     ckpt = std::make_unique<base::CheckpointStore>(
         opts.checkpoint_dir, opts.run_tag,
-        base::content_hash(mc_content_key(config, opts.run_tag)), ntasks,
+        base::fnv1a64(mc_content_key(config, opts.run_tag)), ntasks,
         opts.resume);
 
   std::vector<std::vector<McTrial>> chunks(ntasks);

@@ -10,8 +10,8 @@
 #include <string>
 
 #include "base/faults.hpp"
+#include "base/parallel.hpp"
 #include "core/equiv.hpp"
-#include "runner/parallel.hpp"
 #include "runner/registry.hpp"
 #include "runner/sink.hpp"
 #include "spice/engine_counters.hpp"
@@ -310,7 +310,7 @@ int run_cli(int argc, const char* const* argv) {
     }
   }
 
-  ParallelRunner pool(opt.jobs);
+  base::ParallelRunner pool(opt.jobs);
   int failures = 0;
   for (const Scenario* s : selected) {
     std::printf("=== %s — %s (scale: %s, tier: %s, jobs: %d) ===\n\n",
@@ -319,6 +319,7 @@ int run_cli(int argc, const char* const* argv) {
     std::fflush(stdout);
 
     ResultSink sink(s->info.name, opt.out_dir);
+    sink.perf("jobs", static_cast<std::uint64_t>(pool.jobs()));
     base::TaskPolicy policy;
     policy.max_retries = opt.retries;
     // Each scenario checkpoints under its own subdirectory so one --all run
@@ -377,10 +378,6 @@ int run_cli(int argc, const char* const* argv) {
     // retired TransientSession and OP solve lands here) -> summary.json
     // `perf` block.
     const auto engine1 = spice::engine_counters::snapshot();
-    // Deliberately also present top-level in summary.json (same `wall`
-    // value): the perf block is the self-contained engine record CI
-    // tracks, the top-level field is the pre-existing schema.
-    sink.perf("wall_seconds", wall);
     sink.perf("transient_sessions", engine1.sessions - engine0.sessions);
     sink.perf("transient_steps", engine1.steps - engine0.steps);
     sink.perf("accepted_steps", engine1.accepted_steps - engine0.accepted_steps);

@@ -12,7 +12,6 @@
 //   }
 #pragma once
 
-#include "runner/parallel.hpp"
 #include "runner/registry.hpp"
 #include "runner/scenario.hpp"
 #include "runner/sink.hpp"

@@ -179,19 +179,16 @@ void ResultSink::finish(int status, double wall_seconds) {
   out << "{\n";
   out << "  \"scenario\": \"" << json_escape(scenario_) << "\",\n";
   out << "  \"status\": " << status << ",\n";
-  out << "  \"wall_seconds\": " << json_number(wall_seconds) << ",\n";
   out << "  \"metrics\": {";
   for (std::size_t i = 0; i < metrics_.size(); ++i) {
     out << (i ? "," : "") << "\n    \"" << json_escape(metrics_[i].first)
         << "\": " << metrics_[i].second;
   }
   out << (metrics_.empty() ? "" : "\n  ") << "},\n";
-  out << "  \"perf\": {";
-  for (std::size_t i = 0; i < perf_.size(); ++i) {
-    out << (i ? "," : "") << "\n    \"" << json_escape(perf_[i].first)
-        << "\": " << perf_[i].second;
-  }
-  out << (perf_.empty() ? "" : "\n  ") << "},\n";
+  out << "  \"perf\": {\n    \"wall_seconds\": " << json_number(wall_seconds);
+  for (const auto& [key, value] : perf_)
+    out << ",\n    \"" << json_escape(key) << "\": " << value;
+  out << "\n  },\n";
   out << "  \"artifacts\": [";
   for (std::size_t i = 0; i < artifacts_.size(); ++i) {
     out << (i ? "," : "") << "\n    \"" << json_escape(artifacts_[i]) << "\"";

@@ -54,21 +54,21 @@ class ResultSink {
   // Waveform CSV artifact (not printed; traces are long).
   void trace(const base::Trace& t, const std::string& artifact);
 
-  // Scalar results for summary.json.
+  // Scalar results for summary.json's `metrics` block: only values the
+  // scenario, scale, seed and tier determine. Anything that depends on the
+  // host (wall time, job count, throughputs, speedups) goes to perf().
   void metric(const std::string& key, double value);
   void metric(const std::string& key, std::uint64_t value);
   void metric(const std::string& key, const std::string& value);
 
-  // Engine performance counters for the `perf` block of summary.json
-  // (newton iterations, factorizations, accepted/rejected steps, wall
-  // time...). The CLI driver fills these from the process-wide
-  // spice::engine_counters delta around the scenario body; scenarios can
-  // add their own.
+  // The `perf` block of summary.json, the one record of host time: the
+  // CLI driver adds `jobs` and the spice::engine_counters delta around the
+  // scenario body; scenarios add their own timings and throughputs.
   void perf(const std::string& key, double value);
   void perf(const std::string& key, std::uint64_t value);
 
-  // Verbatim artifact (e.g. a pre-rendered JSON report like
-  // BENCH_engine.json). The name is used as the file name as-is.
+  // Verbatim artifact (e.g. a pre-rendered JSON report like yield.json).
+  // The name is used as the file name as-is.
   void raw_artifact(const std::string& filename, const std::string& content);
 
   // The run's golden-stats artifact (core::StatArtifact::to_json): written
@@ -79,7 +79,8 @@ class ResultSink {
   const std::string& golden_stats() const { return golden_stats_; }
 
   // Called by the CLI driver once the scenario returns: writes
-  // summary.json (when an output dir is set).
+  // summary.json (when an output dir is set), with the scenario's wall
+  // time as the first entry of `perf`.
   void finish(int status, double wall_seconds);
 
   const std::string& scenario() const { return scenario_; }

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "base/faults.hpp"
 #include "base/random.hpp"
 
 namespace uwbams::spice {
@@ -104,21 +105,6 @@ int corner_speed(Corner corner, bool is_pmos) {
   return 0;
 }
 
-// Stable 64-bit FNV-1a over the device name: the mismatch sub-stream id
-// must not depend on std::hash, whose value for a given string is
-// implementation-defined. (The gaussian draws themselves go through
-// std::normal_distribution, so full bit-stability is still only
-// guaranteed per standard library — but the stream *layout* never is the
-// reason two builds disagree.)
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace
 
 bool ModelVariation::is_nominal() const {
@@ -144,9 +130,14 @@ MosModel ModelVariation::apply(const MosModel& base, const std::string& device,
   m.vt0 -= sign * 1.5e-3 * (temp_c - 27.0);
 
   // 3. Per-device Gaussian mismatch with Pelgrom area scaling. The draw
-  //    order (vt0 first, then kp) is part of the determinism contract.
+  //    order (vt0 first, then kp) is part of the determinism contract. The
+  //    sub-stream is keyed by the FNV-1a of the device name, never by
+  //    std::hash, whose value is implementation-defined. Its offset basis
+  //    is the standard one short of its last digit (1469598103934665603,
+  //    not 14695981039346656037): every pinned mismatch draw depends on it.
   if (sigma_scale != 0.0) {
-    base::Rng rng(base::derive_seed(mismatch_seed, fnv1a(device)));
+    base::Rng rng(base::derive_seed(
+        mismatch_seed, base::fnv1a64(device, 1469598103934665603ULL)));
     const double root_area = std::sqrt(w * l);
     const double sigma_vt = sigma_scale * pelgrom_avt / root_area;
     const double sigma_kp = sigma_scale * pelgrom_akp / root_area;

@@ -258,22 +258,13 @@ void TransientSession::commit_all(const std::vector<double>& x, double dt) {
   for (Device* dev : stateful_) dev->commit(x, t_ + dt, dt);
 }
 
-// Linear history extrapolation over dt — the one formula shared by the
-// Newton warm start and the adaptive LTE reference.
+// Linear history extrapolation over dt — the adaptive LTE reference.
 void TransientSession::extrapolate_into(double dt,
                                         std::vector<double>& out) const {
   const double r = dt / dt_prev_;
   out.resize(x_.size());
   for (std::size_t i = 0; i < x_.size(); ++i)
     out[i] = x_[i] + (x_[i] - x_prev_[i]) * r;
-}
-
-void TransientSession::predict_into(double dt, std::vector<double>& x) const {
-  if (!opts_.predictor || !have_history_ || dt_prev_ <= 0.0) {
-    x = x_;
-    return;
-  }
-  extrapolate_into(dt, x);
 }
 
 void TransientSession::note_history(double dt) {
@@ -288,7 +279,7 @@ void TransientSession::note_history(double dt) {
 void TransientSession::step(double dt) {
   if (dt <= 0.0) throw std::invalid_argument("TransientSession::step: dt <= 0");
 
-  predict_into(dt, x_work_);  // predictor warm start (or committed solution)
+  x_work_ = x_;  // Newton starts from the committed solution
   if (newton_step(dt, opts_.method, x_work_)) {
     commit_all(x_work_, dt);
     note_history(dt);
@@ -378,10 +369,10 @@ void TransientSession::advance_to(double t_stop) {
       dt = 0.5 * rem;
     if (dt <= 0.0) break;  // numerical corner: already at the limit
 
-    predict_into(dt, x_work_);
+    x_work_ = x_;
     bool ok = newton_step(dt, opts_.method, x_work_);
     if (!ok) {
-      x_work_ = x_;  // rescue from the committed solution, not the predictor
+      x_work_ = x_;  // rescue from the committed solution
       ok = newton_step(dt, Integrator::kBackwardEuler, x_work_);
       if (ok) ++stats_.fallback_steps;
     }
@@ -396,9 +387,8 @@ void TransientSession::advance_to(double t_stop) {
       continue;
     }
 
-    // LTE accept/reject: compare the corrector against the shared linear
-    // history extrapolation (the same formula the Newton warm start uses);
-    // the /3 matches the trapezoidal-vs-explicit error split.
+    // LTE accept/reject: compare the corrector against the linear history
+    // extrapolation; the /3 matches the trapezoidal-vs-explicit error split.
     double err = 0.0;
     if (have_history_ && dt_prev_ > 0.0) {
       extrapolate_into(dt, x_pred_);

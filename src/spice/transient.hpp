@@ -92,11 +92,6 @@ struct TransientOptions {
   /// **both** this and `lazy_jacobian` — as the equivalence tests and
   /// bench_engine's classic workload do.
   bool reuse_factorization = true;
-  /// Warm-start each step's Newton iteration from the linear history
-  /// extrapolation instead of the last committed solution. Off by default:
-  /// for noise-driven co-simulation inputs the extrapolation is no better
-  /// than the committed solution.
-  bool predictor = false;
   /// Chord (modified-Newton) iterations: keep the factorized Jacobian
   /// across iterations and steps, evaluating only device currents
   /// (Device::residual) per iteration, and rebuild the Jacobian only when
@@ -216,7 +211,6 @@ class TransientSession {
  private:
   bool newton_step(double dt, Integrator method, std::vector<double>& x);
   void extrapolate_into(double dt, std::vector<double>& out) const;
-  void predict_into(double dt, std::vector<double>& x) const;
   void commit_all(const std::vector<double>& x, double dt);
   void note_history(double dt);
   double next_break_time() const;

@@ -124,11 +124,9 @@ TEST(ChannelDraws, ProviderPathIsBitIdenticalToUncached) {
     EXPECT_TRUE(same_taps(cold[i], raw[i]));
     EXPECT_TRUE(same_taps(warm[i], raw[i]));
   }
-  if (core::memo::enabled()) {
-    const auto st = core::memo::stats();
-    EXPECT_EQ(st.channel_misses, 1u);
-    EXPECT_EQ(st.channel_mem_hits, 1u);
-  }
+  const auto st = core::memo::stats();
+  EXPECT_EQ(st.channel_misses, 1u);
+  EXPECT_EQ(st.channel_mem_hits, 1u);
 }
 
 TEST(ChannelDraws, MemoSerializationRoundTripsExactly) {

@@ -168,7 +168,8 @@ TEST(Docs, ChannelsPageCoversTheEnvironmentAxis) {
   const std::string catalog =
       read_file(std::string(UWBAMS_DOCS_DIR) + "/scenarios.md");
   ASSERT_FALSE(catalog.empty());
-  for (const char* needle : {"channels.md", "BENCH_coex.json"}) {
+  for (const char* needle :
+       {"channels.md", "`perf` holds everything that depends on the host"}) {
     EXPECT_NE(catalog.find(needle), std::string::npos)
         << "docs/scenarios.md does not mention '" << needle << "'";
   }
@@ -257,8 +258,8 @@ TEST(Docs, ServicePageCoversTheServerContract) {
        {"uwbams-serve-v1", "uwbams-serve-result-v1", "--connect",
         "--socket", "--cache", "--mem-entries", "--shutdown", "content key",
         "uwbams-serve-run/1", "kCodeVersion", "FNV-1a", "coalesced",
-        "kMaxRequestBytes", "UWBAMS_CACHE", "UWBAMS_MEMO",
-        "UWBAMS_SURROGATE", "manifest.json", "byte-identical", "rename(2)",
+        "kMaxRequestBytes", "UWBAMS_CACHE", "UWBAMS_SURROGATE",
+        "manifest.json", "byte-identical", "rename(2)",
         "--jobs` is excluded"}) {
     EXPECT_NE(text.find(needle), std::string::npos)
         << "docs/service.md does not mention '" << needle << "'";

@@ -14,7 +14,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "base/parallel.hpp"
 #include "core/equiv.hpp"
 #include "runner/registry.hpp"
 #include "runner/sink.hpp"
@@ -45,7 +47,7 @@ int run_scenario(const std::string& name, runner::ResultSink* sink,
     ADD_FAILURE() << "scenario '" << name << "' is not registered";
     return -1;
   }
-  runner::ParallelRunner pool(1);
+  base::ParallelRunner pool(1);
   runner::RunContext ctx{name, runner::Scale::kFast, pool.jobs(),
                          seed, *sink,               pool,
                          core::ExactnessTier::kBitExact};
@@ -83,13 +85,38 @@ TEST_P(GoldenStats, FastRunReproducesPinnedGolden) {
 }
 
 // On seed 15 no ppm point of twr_clock acquires, which leaves no slope to
-// fit: the scenario must report a failed check, not throw.
+// fit: the scenario must report a failed check, not throw, and a point
+// without an acquired exchange must not read like a perfect measurement.
 TEST(AcceptanceChecks, TwrClockWithoutTwoPpmPointsFailsCleanly) {
   runner::ResultSink sink("twr_clock", "");
   sink.set_quiet(true);
+  sink.enable_capture();
   int rc = -1;
   EXPECT_NO_THROW(rc = run_scenario("twr_clock", &sink, 15));
   EXPECT_EQ(rc, 1);
+
+  std::string csv;
+  for (const auto& [name, content] : sink.captured())
+    if (name == "bias_vs_ppm.csv") csv = content;
+  ASSERT_FALSE(csv.empty()) << "twr_clock wrote no bias_vs_ppm.csv";
+  // Columns: ppm_b, mean_raw_m, bias_m, mean_compensated_m, failures. The
+  // fast tier runs 2 exchanges per point, so a dead point has failures=2.
+  std::istringstream rows(csv);
+  std::string row;
+  std::getline(rows, row);  // header
+  int dead = 0;
+  while (std::getline(rows, row)) {
+    std::vector<std::string> cells;
+    std::istringstream cols(row);
+    for (std::string cell; std::getline(cols, cell, ',');)
+      cells.push_back(cell);
+    ASSERT_EQ(cells.size(), 5u) << row;
+    if (cells[4] != "2") continue;
+    ++dead;
+    for (std::size_t c = 1; c <= 3; ++c)
+      EXPECT_EQ(cells[c], "nan") << "dead ppm point reads as a value: " << row;
+  }
+  EXPECT_GT(dead, 0) << csv;
 }
 
 INSTANTIATE_TEST_SUITE_P(PinnedScenarios, GoldenStats,

@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "base/json.hpp"
+#include "base/parallel.hpp"
 #include "base/random.hpp"
 #include "core/block_variant.hpp"
 #include "runner/cli.hpp"
@@ -23,7 +25,7 @@
 namespace {
 
 using namespace uwbams;
-using runner::ParallelRunner;
+using base::ParallelRunner;
 using runner::ResultSink;
 using runner::RunContext;
 using runner::Scale;
@@ -308,6 +310,8 @@ TEST_F(SinkTest, SummaryJsonHoldsMetricsAndArtifacts) {
   sink.metric("ber", 0.125);
   sink.metric("bits", std::uint64_t{4096});
   sink.metric("note", std::string("hello \"world\""));
+  sink.perf("jobs", std::uint64_t{4});
+  sink.perf("sweep_seconds", 0.25);
   sink.finish(0, 1.5);
 
   const auto json = slurp(dir_ / "scn" / "summary.json");
@@ -317,6 +321,20 @@ TEST_F(SinkTest, SummaryJsonHoldsMetricsAndArtifacts) {
   EXPECT_NE(json.find("\"bits\": 4096"), std::string::npos);
   EXPECT_NE(json.find("\"note\": \"hello \\\"world\\\"\""), std::string::npos);
   EXPECT_NE(json.find("\"curve.csv\""), std::string::npos);
+
+  // Host time lives in `perf` alone: the wall time leads the block, the
+  // scenario's entries follow, and nothing of it is top-level or in
+  // `metrics`.
+  const auto doc = base::parse_json(json);
+  const auto& top = doc.as_object();
+  EXPECT_EQ(top.count("wall_seconds"), 0u);
+  EXPECT_EQ(top.at("metrics").as_object().size(), 3u);
+  const auto& perf = top.at("perf").as_object();
+  ASSERT_EQ(perf.size(), 3u);
+  EXPECT_EQ(perf.at("wall_seconds").as_number(), 1.5);
+  EXPECT_EQ(perf.at("jobs").as_number(), 4.0);
+  EXPECT_EQ(perf.at("sweep_seconds").as_number(), 0.25);
+  EXPECT_LT(json.find("\"wall_seconds\""), json.find("\"jobs\""));
 }
 
 TEST_F(SinkTest, NoOutDirWritesNothing) {

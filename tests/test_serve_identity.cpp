@@ -156,7 +156,7 @@ TEST(CanonicalCompleteness, FieldCountAndSizeofPins) {
   EXPECT_EQ(field_count<spice::ItdSizing>(), 37);
   EXPECT_EQ(field_count<spice::AdaptiveOptions>(), 8);
   EXPECT_EQ(field_count<spice::OpOptions>(), 6);
-  EXPECT_EQ(field_count<spice::TransientOptions>(), 15);
+  EXPECT_EQ(field_count<spice::TransientOptions>(), 14);
   EXPECT_EQ(field_count<core::CharacterizeOptions>(), 7);
   EXPECT_EQ(field_count<uwb::TwrConfig>(), 5);
 
@@ -427,7 +427,7 @@ TEST(ReferenceVectors, PinnedContentKeys) {
             "0x34e5dc2a9cbe93c1");
   EXPECT_EQ(
       base::hex_u64(canon::key_of(canon::to_json(spice::TransientOptions{}))),
-      "0x248288238207882a");
+      "0x0d5028f3f4d65aa7");
   EXPECT_EQ(base::hex_u64(
                 runner::spec_content_key(runner::ScenarioSpec("pinned"))),
             "0x8200392562a065e3");
