@@ -10,9 +10,7 @@
 //                (per-iteration full assembly + fresh factorization) —
 //                the speedup denominator;
 //   rc_linear    a 12-section RC ladder — the linear-circuit path that
-//                must run on a single cached factorization;
-//   itd_adaptive the ITD cell under a pulsed control workload advanced by
-//                the adaptive LTE stepper (accept/reject + event-aligned).
+//                must run on a single cached factorization.
 //
 // Results go to stdout and to summary.json: each workload's engine
 // counters under `metrics`, its steps/s and the fast-path speedup under
@@ -105,32 +103,6 @@ WorkloadResult run_rc_ladder(int steps) {
   return r;
 }
 
-// ITD cell advanced by the adaptive LTE stepper over a pulsed control
-// waveform (edges force event-aligned steps and rejections).
-WorkloadResult run_itd_adaptive(double t_stop) {
-  spice::Circuit ckt;
-  const auto tb = spice::build_itd_testbench(ckt, {});
-  (void)tb;
-  spice::TransientOptions topts;
-  topts.adaptive.enabled = true;
-  topts.adaptive.dt_max = 2e-9;
-  spice::TransientSession session(ckt, topts);
-  // Drive the control rails from their pulse waveforms instead of
-  // overrides so the stepper sees real breakpoints.
-  auto& ctrlm = session.source("vctrlm");
-  ctrlm.clear_override();
-  const auto t0 = std::chrono::steady_clock::now();
-  session.advance_to(t_stop);
-  WorkloadResult r;
-  r.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  r.steps_per_second =
-      static_cast<double>(session.stats().steps) / r.wall_seconds;
-  r.stats = session.stats();
-  return r;
-}
-
 // One workload's summary.json entries: its engine counters (fixed by the
 // seed and scale) in `metrics`, its throughput in `perf`.
 void report(runner::RunContext& ctx, const std::string& name,
@@ -156,7 +128,6 @@ REGISTER_SCENARIO(bench_engine, "bench",
                   "Transient-engine fast-path microbenchmark") {
   const int itd_steps = ctx.pick(20000, 100000, 400000);
   const int rc_steps = ctx.pick(20000, 100000, 400000);
-  const double adaptive_t = ctx.pick(1e-6, 4e-6, 16e-6);
 
   ctx.sink.note("workload: ITD testbench (31 MOSFETs, 28 unknowns) + RC ladder");
 
@@ -184,17 +155,9 @@ REGISTER_SCENARIO(bench_engine, "bench",
                  rc.steps_per_second,
                  static_cast<unsigned long long>(rc.stats.factorizations));
 
-  const WorkloadResult adaptive = run_itd_adaptive(adaptive_t);
-  ctx.sink.notef(
-      "itd_adaptive : %llu accepted / %llu rejected steps over %.1f us",
-      static_cast<unsigned long long>(adaptive.stats.accepted_steps),
-      static_cast<unsigned long long>(adaptive.stats.rejected_steps),
-      adaptive_t * 1e6);
-
   report(ctx, "itd_fixed", itd_fast);
   report(ctx, "itd_classic", itd_classic);
   report(ctx, "rc_linear", rc);
-  report(ctx, "itd_adaptive", adaptive);
   ctx.sink.perf("fast_path_speedup", speedup);
 
   // Sanity gates so CI fails loudly if the fast path regresses to the

@@ -59,13 +59,14 @@ REGISTER_SCENARIO(spice_playground, "example",
   sim.source("Vinm").set_override(0.885);
   sim.run_until(130e-9);
   const double vout = sim.v("Out_intm") - sim.v("Out_intp");
+  const spice::TransientStats& st = sim.stats();
   ctx.sink.notef(
       "\ntransient: 30 mV differential input integrated for 100 ns\n"
       "  v(Out_intm) - v(Out_intp) = %.4f V\n"
       "  (%llu steps, %.2f Newton iterations/step)",
-      vout, static_cast<unsigned long long>(sim.steps_taken()),
-      static_cast<double>(sim.total_newton_iterations()) /
-          static_cast<double>(sim.steps_taken()));
+      vout, static_cast<unsigned long long>(st.steps),
+      static_cast<double>(st.newton_iterations) /
+          static_cast<double>(st.steps));
   ctx.sink.metric("transient_vout_v", vout);
   return op.converged ? 0 : 1;
 }

@@ -60,12 +60,7 @@ void SpiceBridge::step(double /*t*/, double dt) {
     in.last = target;
     in.source->set_override(target);
   }
-  // With adaptive stepping enabled the embedded solver sub-steps the macro
-  // interval under LTE control; otherwise it takes the kernel's step as-is.
-  if (opts_.adaptive.enabled)
-    session_->advance_to(session_->time() + dt);
-  else
-    session_->step(dt);
+  session_->step(dt);
   for (auto& out : outputs_)
     *out.value = session_->v(out.p) - session_->v(out.m);
 }
@@ -73,11 +68,6 @@ void SpiceBridge::step(double /*t*/, double dt) {
 double SpiceBridge::v(const std::string& node) const {
   if (!primed()) throw std::logic_error("SpiceBridge::v before prime()");
   return session_->v(node);
-}
-
-const spice::TransientSession& SpiceBridge::session() const {
-  if (!primed()) throw std::logic_error("SpiceBridge::session before prime()");
-  return *session_;
 }
 
 }  // namespace uwbams::ams

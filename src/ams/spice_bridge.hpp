@@ -55,7 +55,6 @@ class SpiceBridge : public AnalogBlock {
 
   // Direct probe (valid after prime()).
   double v(const std::string& node) const;
-  const spice::TransientSession& session() const;
   spice::Circuit& circuit() { return *circuit_; }
 
  private:

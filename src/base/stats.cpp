@@ -20,7 +20,6 @@ void RunningStats::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::clear() { *this = RunningStats{}; }
 
 double RunningStats::variance() const {
   return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
@@ -109,19 +108,6 @@ double variance_of(std::span<const double> xs) {
   double s = 0.0;
   for (double x : xs) s += (x - m) * (x - m);
   return s / static_cast<double>(xs.size() - 1);
-}
-
-double rms_of(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : xs) s += x * x;
-  return std::sqrt(s / static_cast<double>(xs.size()));
-}
-
-double max_abs_of(std::span<const double> xs) {
-  double m = 0.0;
-  for (double x : xs) m = std::max(m, std::abs(x));
-  return m;
 }
 
 double percentile_of(std::vector<double> xs, double p) {

@@ -17,7 +17,6 @@ namespace uwbams::base {
 class RunningStats {
  public:
   void add(double x);
-  void clear();
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ > 0 ? mean_ : 0.0; }
@@ -60,8 +59,6 @@ class BerCounter {
 // Simple descriptive helpers over a span of samples.
 double mean_of(std::span<const double> xs);
 double variance_of(std::span<const double> xs);  // unbiased
-double rms_of(std::span<const double> xs);
-double max_abs_of(std::span<const double> xs);
 // p in [0,100]; linear interpolation between order statistics.
 double percentile_of(std::vector<double> xs, double p);
 

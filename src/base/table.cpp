@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <iostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -52,8 +51,6 @@ std::string Table::render() const {
   os << line('-');
   return os.str();
 }
-
-void Table::print() const { std::cout << render() << std::flush; }
 
 namespace {
 
@@ -109,10 +106,6 @@ std::string Series::render(int precision) const {
     os << "\n";
   }
   return os.str();
-}
-
-void Series::print(int precision) const {
-  std::cout << render(precision) << std::flush;
 }
 
 std::string Series::to_csv() const {

@@ -27,7 +27,6 @@ class Table {
   const std::vector<std::vector<std::string>>& data_rows() const { return rows_; }
 
   std::string render() const;
-  void print() const;  // render() to stdout
   // RFC-4180-style CSV (header row first; cells quoted when needed).
   std::string to_csv() const;
 
@@ -57,7 +56,6 @@ class Series {
   std::string render(int precision = 6) const;
   // CSV with %.17g values (round-trips doubles exactly).
   std::string to_csv() const;
-  void print(int precision = 6) const;
   // Coarse ASCII plot, optionally with log10 y-axis (for BER curves).
   std::string ascii_plot(int width = 64, int height = 20, bool log_y = false) const;
 

@@ -13,12 +13,6 @@ void Trace::record(double t, double v) {
   v_.push_back(v);
 }
 
-void Trace::clear() {
-  counter_ = 0;
-  t_.clear();
-  v_.clear();
-}
-
 double Trace::at(double t) const {
   if (t_.empty()) throw std::logic_error("Trace::at on empty trace");
   if (t <= t_.front()) return v_.front();

@@ -18,7 +18,6 @@ class Trace {
       : name_(std::move(name)), decimation_(decimation ? decimation : 1) {}
 
   void record(double t, double v);
-  void clear();
 
   const std::string& name() const { return name_; }
   std::size_t size() const { return t_.size(); }

@@ -58,9 +58,6 @@ struct Writer {
     for (double x : f) arr.emplace_back(x);
     (*obj)[name] = JsonValue(std::move(arr));
   }
-  void operator()(const char* name, spice::Integrator& f) {
-    (*obj)[name] = JsonValue(integrator_method_name(f));
-  }
   void operator()(const char* name, spice::Corner& f) {
     (*obj)[name] = JsonValue(std::string(spice::to_string(f)));
   }
@@ -94,11 +91,6 @@ struct Reader {
     f.clear();
     f.reserve(arr.size());
     for (const JsonValue& x : arr) f.push_back(x.as_number());
-  }
-  void operator()(const char* name, spice::Integrator& f) {
-    const std::string& s = get(name).as_string();
-    if (!parse_integrator_method(s, &f))
-      fail(std::string(name) + ": unknown integration method '" + s + "'");
   }
   void operator()(const char* name, spice::Corner& f) {
     const std::string& s = get(name).as_string();
@@ -152,21 +144,6 @@ void read_sub(const JsonObject& obj, std::set<std::string>* seen,
 }
 
 }  // namespace
-
-std::string integrator_method_name(spice::Integrator method) {
-  switch (method) {
-    case spice::Integrator::kTrapezoidal: return "trapezoidal";
-    case spice::Integrator::kBackwardEuler: return "backward_euler";
-  }
-  return "?";
-}
-
-bool parse_integrator_method(const std::string& text, spice::Integrator* out) {
-  if (text == "trapezoidal") *out = spice::Integrator::kTrapezoidal;
-  else if (text == "backward_euler") *out = spice::Integrator::kBackwardEuler;
-  else return false;
-  return true;
-}
 
 bool parse_corner(const std::string& text, spice::Corner* out) {
   for (const spice::Corner c :
@@ -253,13 +230,6 @@ void from_json(const base::JsonValue& doc, spice::ItdSizing* out) {
   *out = tmp;
 }
 
-base::JsonValue to_json(const spice::AdaptiveOptions& c) {
-  return flat_to_json(c);
-}
-void from_json(const base::JsonValue& doc, spice::AdaptiveOptions* out) {
-  flat_from_json(doc, out, "AdaptiveOptions");
-}
-
 base::JsonValue to_json(const spice::OpOptions& c) { return flat_to_json(c); }
 void from_json(const base::JsonValue& doc, spice::OpOptions* out) {
   flat_from_json(doc, out, "OpOptions");
@@ -269,7 +239,6 @@ base::JsonValue to_json(const spice::TransientOptions& c) {
   spice::TransientOptions copy = c;
   JsonObject obj;
   visit_fields(copy, Writer{&obj});
-  obj["adaptive"] = to_json(c.adaptive);
   obj["op"] = to_json(c.op);
   return JsonValue(std::move(obj));
 }
@@ -279,7 +248,6 @@ void from_json(const base::JsonValue& doc, spice::TransientOptions* out) {
   std::set<std::string> seen;
   spice::TransientOptions tmp{};
   visit_fields(tmp, Reader{&obj, &seen});
-  read_sub(obj, &seen, "adaptive", &tmp.adaptive, "TransientOptions");
   read_sub(obj, &seen, "op", &tmp.op, "TransientOptions");
   reject_unknown(obj, seen, "TransientOptions");
   *out = tmp;

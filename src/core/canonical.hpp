@@ -46,10 +46,10 @@ inline constexpr const char* kCodeVersion = "uwbams-code/9";
 //
 // `v(name, field)` is called once per *direct scalar* field, in declaration
 // order. Visitors must accept double&, int&, bool&, std::uint64_t&,
-// std::vector<double>&, spice::Integrator&, spice::Corner& and
-// uwb::ChannelClass& (a generic lambda with `if constexpr` works). Nested
-// structs (SystemConfig::clock/interference, TransientOptions::adaptive/op,
-// ...) are *not* visited here — to_json emits them as sub-objects and the
+// std::vector<double>&, spice::Corner& and uwb::ChannelClass& (a generic
+// lambda with `if constexpr` works). Nested structs
+// (SystemConfig::clock/interference, TransientOptions::op, ...) are *not*
+// visited here — to_json emits them as sub-objects and the
 // tests iterate each struct separately.
 
 template <typename V>
@@ -172,18 +172,6 @@ void visit_fields(spice::ItdSizing& c, V&& v) {
 }
 
 template <typename V>
-void visit_fields(spice::AdaptiveOptions& c, V&& v) {
-  v("enabled", c.enabled);
-  v("lte_abstol", c.lte_abstol);
-  v("lte_reltol", c.lte_reltol);
-  v("dt_min", c.dt_min);
-  v("dt_max", c.dt_max);
-  v("grow_limit", c.grow_limit);
-  v("shrink", c.shrink);
-  v("safety", c.safety);
-}
-
-template <typename V>
 void visit_fields(spice::OpOptions& c, V&& v) {
   v("max_iterations", c.max_iterations);
   v("vabstol", c.vabstol);
@@ -196,14 +184,12 @@ void visit_fields(spice::OpOptions& c, V&& v) {
 template <typename V>
 void visit_fields(spice::TransientOptions& c, V&& v) {
   v("dt", c.dt);
-  v("method", c.method);
   v("max_newton", c.max_newton);
   v("vabstol", c.vabstol);
   v("reltol", c.reltol);
   v("gmin", c.gmin);
   v("reuse_factorization", c.reuse_factorization);
   v("lazy_jacobian", c.lazy_jacobian);
-  v("jacobian_refresh_every", c.jacobian_refresh_every);
   v("chord_tol_scale", c.chord_tol_scale);
   v("iabstol", c.iabstol);
   v("cosim_decimation", c.cosim_decimation);
@@ -232,10 +218,6 @@ void visit_fields(uwb::TwrConfig& c, V&& v) {
 }
 
 // -------------------------------------------------------------- enum names
-
-/// "trapezoidal" / "backward_euler".
-std::string integrator_method_name(spice::Integrator method);
-bool parse_integrator_method(const std::string& text, spice::Integrator* out);
 
 /// "TT" / "FF" / "SS" / "FS" / "SF" (spice::to_string).
 bool parse_corner(const std::string& text, spice::Corner* out);
@@ -268,9 +250,6 @@ void from_json(const base::JsonValue& doc, spice::ModelVariation* out);
 
 base::JsonValue to_json(const spice::ItdSizing& c);
 void from_json(const base::JsonValue& doc, spice::ItdSizing* out);
-
-base::JsonValue to_json(const spice::AdaptiveOptions& c);
-void from_json(const base::JsonValue& doc, spice::AdaptiveOptions* out);
 
 base::JsonValue to_json(const spice::OpOptions& c);
 void from_json(const base::JsonValue& doc, spice::OpOptions* out);

@@ -22,11 +22,6 @@ LuFactor<T>::LuFactor(Matrix<T> a) {
 }
 
 template <typename T>
-void LuFactor<T>::set_pivot_rel_tol(double tol) {
-  pivot_rel_tol_ = std::clamp(tol, 0.0, 1.0);
-}
-
-template <typename T>
 void LuFactor<T>::factor(const Matrix<T>& a, const SparsityPattern* pattern) {
   if (a.rows() != a.cols())
     throw std::invalid_argument("LuFactor: matrix must be square");
@@ -168,7 +163,7 @@ bool LuFactor<T>::refactor(const Matrix<T>& a) {
       double colmax = ap;
       for (const std::uint32_t* pr = rows; pr != rows_end; ++pr)
         colmax = std::max(colmax, magnitude(lu_(*pr, k)));
-      if (ap < kAbsPivotFloor || ap < pivot_rel_tol_ * colmax) {
+      if (ap < kAbsPivotFloor || ap < kPivotRelTol * colmax) {
         pivot_ratio_ = (ap > 0.0) ? colmax / ap : 1e300;
         valid_ = false;
         return false;
@@ -195,7 +190,7 @@ bool LuFactor<T>::refactor(const Matrix<T>& a) {
       double colmax = ap;
       for (std::size_t r = k + 1; r < n; ++r)
         colmax = std::max(colmax, magnitude(lu_(r, k)));
-      if (ap < kAbsPivotFloor || ap < pivot_rel_tol_ * colmax) {
+      if (ap < kAbsPivotFloor || ap < kPivotRelTol * colmax) {
         pivot_ratio_ = (ap > 0.0) ? colmax / ap : 1e300;
         valid_ = false;
         return false;

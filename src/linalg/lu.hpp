@@ -87,7 +87,7 @@ class LuFactor {
   /// Re-factorizes `a` reusing the pivot order (and, when available, the
   /// symbolic pattern) of the last successful factor(). Returns false —
   /// leaving the factorization **invalid** — when the frozen pivot sequence
-  /// has degraded: a pivot falls below `pivot_rel_tol()` times the largest
+  /// has degraded: a pivot falls below kPivotRelTol times the largest
   /// candidate in its column, or below an absolute floor. The caller then
   /// falls back to factor(), which re-selects pivots.
   bool refactor(const Matrix<T>& a);
@@ -112,13 +112,6 @@ class LuFactor {
   /// convergence diagnostics and refactor-degradation reporting.
   double pivot_ratio() const { return pivot_ratio_; }
 
-  /// Relative pivot threshold for refactor() degradation detection
-  /// (default 1e-3, the classic SPICE PIVREL). A refactor pivot smaller
-  /// than this fraction of its column's largest candidate fails the reuse.
-  double pivot_rel_tol() const { return pivot_rel_tol_; }
-  /// Sets the relative pivot threshold (clamped to [0, 1]).
-  void set_pivot_rel_tol(double tol);
-
   /// Opt-in packed-value solve path: after each symbolic factor()/refactor()
   /// the L and U nonzeros are copied into contiguous arrays aligned with the
   /// symbolic column indices, and solve_in_place() streams them sequentially
@@ -141,8 +134,11 @@ class LuFactor {
   Matrix<T> lu_;
   std::vector<std::size_t> perm_;
   std::vector<T> dinv_;  // reciprocal U diagonal: substitution multiplies
+  /// Relative pivot threshold for refactor() degradation detection (the
+  /// classic SPICE PIVREL). A refactor pivot smaller than this fraction of
+  /// its column's largest candidate fails the reuse.
+  static constexpr double kPivotRelTol = 1e-3;
   double pivot_ratio_ = 1.0;
-  double pivot_rel_tol_ = 1e-3;
   bool valid_ = false;
 
   // Symbolic elimination structure in pivot (permuted-row) order, flat CSR

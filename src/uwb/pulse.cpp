@@ -41,13 +41,6 @@ double GaussianMonocycle::energy() const {
   return amplitude_ * amplitude_ * sigma_ * sqrt_pi * 0.75;
 }
 
-double GaussianMonocycle::bandwidth() const {
-  // The spectrum of a Gaussian derivative peaks at f_pk = sqrt(order)/(2 pi
-  // sigma); the -10 dB width is roughly 2 f_pk. Good enough for the
-  // time-bandwidth (degrees-of-freedom) estimates it feeds.
-  return std::sqrt(static_cast<double>(order_)) / (units::pi * sigma_);
-}
-
 std::vector<double> GaussianMonocycle::sampled(double dt) const {
   if (dt <= 0.0) throw std::invalid_argument("sampled: dt must be positive");
   const double hd = half_duration();

@@ -27,10 +27,6 @@ class GaussianMonocycle {
   int order() const { return order_; }
   double amplitude() const { return amplitude_; }
 
-  /// Nominal -10 dB bandwidth estimate [Hz] (for dof computations in the
-  /// semi-analytic BER reference).
-  double bandwidth() const;
-
   /// Sampled waveform on [-half_duration, +half_duration] at step dt.
   std::vector<double> sampled(double dt) const;
 

@@ -56,11 +56,6 @@ Receiver::Receiver(ams::Kernel& kernel, const SystemConfig& cfg,
   agc_ = std::make_unique<AgcController>(*vga_, acfg);
 }
 
-double Receiver::toa() const {
-  if (toa_est_ < 0.0) throw std::logic_error("Receiver::toa: no estimate yet");
-  return toa_est_;
-}
-
 void Receiver::start_genie(ams::Kernel& kernel, double capture_start,
                            const std::vector<bool>& sent_payload) {
   mode_ = SyncMode::kGenie;

@@ -95,7 +95,6 @@ class Receiver {
   const base::BerCounter& ber() const { return demod_.ber(); }
   RxState state() const { return state_; }
   bool sync_done() const { return state_ == RxState::kData || state_ == RxState::kDone; }
-  double toa() const;
   const AgcController& agc() const { return *agc_; }
   IntegrateAndDump& integrator() { return *itd_; }
   /// This node's oscillator model: all acquisition timing (window starts,

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/checkpoint.hpp"
@@ -51,10 +52,6 @@ void mutate(int& f) { f += 1; }
 void mutate(bool& f) { f = !f; }
 void mutate(std::uint64_t& f) { f += 1; }
 void mutate(std::vector<double>& f) { f.push_back(42.0); }
-void mutate(spice::Integrator& f) {
-  f = f == spice::Integrator::kTrapezoidal ? spice::Integrator::kBackwardEuler
-                                           : spice::Integrator::kTrapezoidal;
-}
 void mutate(spice::Corner& f) {
   f = f == spice::Corner::kTT ? spice::Corner::kFF : spice::Corner::kTT;
 }
@@ -84,7 +81,7 @@ void expect_every_field_keyed(const char* what, ToJson&& to_json_fn) {
   ASSERT_GT(n, 0) << what;
   for (int k = 0; k < n; ++k) {
     T mutated{};
-    FieldMutator m{k};
+    FieldMutator m{k, 0, {}};
     canon::visit_fields(mutated, m);
     EXPECT_NE(canon::key_of(to_json_fn(mutated)), base_key)
         << what << ": mutating field '" << m.name
@@ -100,7 +97,7 @@ void expect_every_field_round_trips(const char* what, ToJson&& to_json_fn,
   const int n = field_count<T>();
   for (int k = 0; k < n; ++k) {
     T mutated{};
-    FieldMutator m{k};
+    FieldMutator m{k, 0, {}};
     canon::visit_fields(mutated, m);
     T back{};
     from_json_fn(to_json_fn(mutated), &back);
@@ -154,9 +151,8 @@ TEST(CanonicalCompleteness, FieldCountAndSizeofPins) {
   EXPECT_EQ(field_count<uwb::InterferenceConfig>(), 6);
   EXPECT_EQ(field_count<spice::ModelVariation>(), 8);
   EXPECT_EQ(field_count<spice::ItdSizing>(), 37);
-  EXPECT_EQ(field_count<spice::AdaptiveOptions>(), 8);
   EXPECT_EQ(field_count<spice::OpOptions>(), 6);
-  EXPECT_EQ(field_count<spice::TransientOptions>(), 14);
+  EXPECT_EQ(field_count<spice::TransientOptions>(), 12);
   EXPECT_EQ(field_count<core::CharacterizeOptions>(), 7);
   EXPECT_EQ(field_count<uwb::TwrConfig>(), 5);
 
@@ -165,10 +161,9 @@ TEST(CanonicalCompleteness, FieldCountAndSizeofPins) {
   EXPECT_EQ(sizeof(uwb::InterferenceConfig), 48u);
   EXPECT_EQ(sizeof(spice::ModelVariation), 64u);
   EXPECT_EQ(sizeof(spice::ItdSizing), 360u);
-  EXPECT_EQ(sizeof(spice::AdaptiveOptions), 64u);
   EXPECT_EQ(sizeof(spice::OpOptions), 64u);
-  EXPECT_EQ(sizeof(spice::TransientOptions), 200u);
-  EXPECT_EQ(sizeof(core::CharacterizeOptions), 256u);
+  EXPECT_EQ(sizeof(spice::TransientOptions), 136u);
+  EXPECT_EQ(sizeof(core::CharacterizeOptions), 192u);
   EXPECT_EQ(sizeof(uwb::TwrConfig), 536u);
 }
 
@@ -188,9 +183,6 @@ TEST(CanonicalMutation, EveryFieldFlipsTheKey) {
       [](const spice::ModelVariation& c) { return canon::to_json(c); });
   expect_every_field_keyed<spice::ItdSizing>(
       "ItdSizing", [](const spice::ItdSizing& c) { return canon::to_json(c); });
-  expect_every_field_keyed<spice::AdaptiveOptions>(
-      "AdaptiveOptions",
-      [](const spice::AdaptiveOptions& c) { return canon::to_json(c); });
   expect_every_field_keyed<spice::OpOptions>(
       "OpOptions", [](const spice::OpOptions& c) { return canon::to_json(c); });
   expect_every_field_keyed<spice::TransientOptions>(
@@ -290,6 +282,32 @@ TEST(CanonicalStrictness, RejectsUnknownMissingAndMalformed) {
   uwb::SystemConfig sys_out;
   EXPECT_THROW(canon::from_json(base::JsonValue(frac), &sys_out),
                base::JsonError);
+
+  // Keys of removed TransientOptions knobs, with the values older builds
+  // wrote: a stale cached document must fail to load, never load with the
+  // knob silently dropped.
+  base::JsonObject old_adaptive;
+  old_adaptive["enabled"] = base::JsonValue(false);
+  old_adaptive["lte_abstol"] = base::JsonValue(1e-4);
+  old_adaptive["lte_reltol"] = base::JsonValue(1e-3);
+  old_adaptive["dt_min"] = base::JsonValue(1e-14);
+  old_adaptive["dt_max"] = base::JsonValue(0.0);
+  old_adaptive["grow_limit"] = base::JsonValue(2.0);
+  old_adaptive["shrink"] = base::JsonValue(0.25);
+  old_adaptive["safety"] = base::JsonValue(0.9);
+  const std::pair<const char*, base::JsonValue> removed[] = {
+      {"adaptive", base::JsonValue(old_adaptive)},
+      {"method", base::JsonValue(std::string("trapezoidal"))},
+      {"jacobian_refresh_every", base::JsonValue(3)}};
+  const base::JsonValue tran_doc = canon::to_json(spice::TransientOptions{});
+  for (const auto& [key, value] : removed) {
+    base::JsonObject stale = tran_doc.as_object();
+    stale[key] = value;
+    spice::TransientOptions tran_out;
+    EXPECT_THROW(canon::from_json(base::JsonValue(stale), &tran_out),
+                 base::JsonError)
+        << "stale key '" << key << "' was accepted";
+  }
 }
 
 TEST(CanonicalStrictness, WorkspaceBearingOptionsRefuseToHash) {
@@ -427,7 +445,7 @@ TEST(ReferenceVectors, PinnedContentKeys) {
             "0x34e5dc2a9cbe93c1");
   EXPECT_EQ(
       base::hex_u64(canon::key_of(canon::to_json(spice::TransientOptions{}))),
-      "0x0d5028f3f4d65aa7");
+      "0x9f3090eae3895c52");
   EXPECT_EQ(base::hex_u64(
                 runner::spec_content_key(runner::ScenarioSpec("pinned"))),
             "0x8200392562a065e3");
